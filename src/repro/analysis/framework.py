@@ -10,8 +10,12 @@ an :class:`AnalysisPipeline` of declared :class:`AnalysisPass` steps:
   **provides**, and the pipeline validates at construction time that
   every requirement is produced by an earlier pass (no hidden ordering
   assumptions);
-* passes share one :class:`AnalysisContext` per bytecode, so a product
-  is computed exactly once however many downstream passes read it;
+* passes share one :class:`AnalysisContext` per bytecode, and a
+  product is computed on first read — its pass runs then, after the
+  passes it requires — so a client pays only for the products it
+  reads, and each is computed at most once however many downstream
+  passes read it (:meth:`AnalysisPipeline.run` is the eager "compute
+  everything" call);
 * each pass carries its own **schema version**.  What a pass *means*
   determines what the engine may prune and what a cached recovery
   contains, so the per-pass versions are folded into the persistent
@@ -21,7 +25,8 @@ an :class:`AnalysisPipeline` of declared :class:`AnalysisPass` steps:
 * every pass runs under a :func:`repro.obs.phase_span`
   (``analysis.<name>`` spans and ``phase.seconds`` histograms), so a
   trace shows where static-analysis time goes per pass, not as one
-  opaque blob.
+  opaque blob; a pass run on demand nests under whatever span the
+  reader had open.
 
 The default pipeline (:data:`DEFAULT_PIPELINE`) is::
 
@@ -46,25 +51,68 @@ from repro.obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, SpanTracer, p
 
 
 class AnalysisContext:
-    """Shared per-bytecode state: the input bytes plus pass products."""
+    """Shared per-bytecode state: the input bytes plus pass products.
 
-    __slots__ = ("bytecode", "products")
+    Products are computed on demand: the first ``ctx[name]`` runs the
+    named pass of the context's pipeline (its ``requires`` first) and
+    keeps the result, so every later read is a dict lookup.  With no
+    ``pipeline`` argument the context uses :func:`default_pipeline` as
+    it stands at construction time.
+    """
 
-    def __init__(self, bytecode: bytes) -> None:
+    __slots__ = ("bytecode", "products", "pipeline", "metrics", "tracer")
+
+    def __init__(
+        self,
+        bytecode: bytes,
+        pipeline: Optional["AnalysisPipeline"] = None,
+        metrics: Optional[MetricsRegistry] = None,
+        tracer: Optional[SpanTracer] = None,
+    ) -> None:
         self.bytecode = bytecode
         self.products: Dict[str, object] = {}
+        self.pipeline = pipeline if pipeline is not None else default_pipeline()
+        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def __getitem__(self, name: str) -> object:
         try:
             return self.products[name]
         except KeyError:
+            pass
+        pass_ = self.pipeline.get(name)
+        if pass_ is None:
             raise KeyError(
                 f"analysis product {name!r} not available; was the pass "
                 "registered before its consumers?"
-            ) from None
+            )
+        return self._compute(pass_)
 
     def __contains__(self, name: str) -> bool:
+        """Whether ``name`` has been computed (reading it may compute it)."""
         return name in self.products
+
+    def get(self, name: str) -> object:
+        """The product ``name``, computed if needed; ``None`` when the
+        pipeline has no such pass."""
+        if name in self.products or self.pipeline.get(name) is not None:
+            return self[name]
+        return None
+
+    def _compute(self, pass_: "AnalysisPass") -> object:
+        # Requirements first, outside this pass's span: pass spans never
+        # nest inside each other, so per-pass time stays self time.
+        for requirement in pass_.requires:
+            self[requirement]
+        metrics = self.metrics
+        if metrics is not NULL_REGISTRY or self.tracer is not NULL_TRACER:
+            with phase_span(metrics, self.tracer, f"analysis.{pass_.name}"):
+                product = pass_.run(self)
+            metrics.counter("analysis.pass_runs", **{"pass": pass_.name}).inc()
+        else:
+            product = pass_.run(self)
+        self.products[pass_.name] = product
+        return product
 
 
 @dataclass(frozen=True)
@@ -106,9 +154,14 @@ class AnalysisPipeline:
                     )
             seen.add(pass_.name)
         self.passes: Tuple[AnalysisPass, ...] = tuple(passes)
+        self._by_name: Dict[str, AnalysisPass] = {p.name: p for p in passes}
 
     def __iter__(self) -> Iterator[AnalysisPass]:
         return iter(self.passes)
+
+    def get(self, name: str) -> Optional[AnalysisPass]:
+        """The pass providing ``name``, or ``None``."""
+        return self._by_name.get(name)
 
     def names(self) -> Tuple[str, ...]:
         return tuple(p.name for p in self.passes)
@@ -133,20 +186,10 @@ class AnalysisPipeline:
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
     ) -> AnalysisContext:
-        """Run every pass in order over one shared context."""
-        metrics = metrics if metrics is not None else NULL_REGISTRY
-        tracer = tracer if tracer is not None else NULL_TRACER
-        context = AnalysisContext(bytecode)
-        observing = metrics is not NULL_REGISTRY or tracer is not NULL_TRACER
+        """Compute every product, in pipeline order, over one context."""
+        context = AnalysisContext(bytecode, self, metrics=metrics, tracer=tracer)
         for pass_ in self.passes:
-            if observing:
-                with phase_span(metrics, tracer, f"analysis.{pass_.name}"):
-                    context.products[pass_.name] = pass_.run(context)
-                metrics.counter(
-                    "analysis.pass_runs", **{"pass": pass_.name}
-                ).inc()
-            else:
-                context.products[pass_.name] = pass_.run(context)
+            context[pass_.name]
         return context
 
 
@@ -238,10 +281,10 @@ DEFAULT_PIPELINE = AnalysisPipeline((
     ),
 ))
 
-#: The pre-profile pass set: exactly the work a recovery needs (the
-#: engine and memo consume cfg/jumps/stack/dispatcher only).  The
-#: overhead benchmark compares cold recovery under this pipeline vs the
-#: full default one to bound what the new passes cost.
+#: The pre-profile pass set.  Recovery reads only cfg/jumps/dispatcher
+#: of it, and products compute on demand, so a recovery runs the same
+#: passes under this pipeline as under the full default one; the
+#: overhead benchmarks compare the two to hold that so.
 CORE_PIPELINE = AnalysisPipeline(DEFAULT_PIPELINE.passes[:4])
 
 

@@ -1,10 +1,13 @@
 """The combined static-analysis result for one contract.
 
-:func:`analyze` runs the default :class:`~repro.analysis.framework.
-AnalysisPipeline` — CFG construction, jump resolution, stack
-verification, dispatcher extraction, storage-layout recovery, linting —
-and folds the pass products into a :class:`ContractAnalysis`, which is
-both the linter's input and the TASE engine's pruning oracle.
+:func:`analyze` builds a :class:`ContractAnalysis` over the default
+:class:`~repro.analysis.framework.AnalysisPipeline` — CFG construction,
+jump resolution, stack verification, dispatcher extraction,
+storage-layout recovery, reachability, mutability, return shapes,
+linting — which is both the linter's input and the TASE engine's
+pruning oracle.  Only the CFG, the jump fixpoint and the dispatcher
+are computed up front; every other product is computed the first time
+it is read, so a recovery never pays for the storage or ABI passes.
 ``analyze`` is *total*: it never raises on arbitrary byte strings (junk
 decodes to UNKNOWN instructions, which the passes treat as opaque path
 ends).
@@ -32,14 +35,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport, region_preimage
 from repro.analysis.framework import (
+    AnalysisContext,
     AnalysisPipeline,
-    default_pipeline,
     pass_versions,
     schema_aggregate,
 )
@@ -84,29 +87,53 @@ class Diagnostic:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass
 class ContractAnalysis:
-    """All static passes over one runtime bytecode, plus derived views."""
+    """All static passes over one runtime bytecode, plus derived views.
 
-    bytecode: bytes
-    cfg: ResolvedCFG
-    stack: StackReport
-    dispatcher: DispatcherReport
-    #: Recovered storage layout; ``None`` when analyzed under a pipeline
-    #: without the storage pass (e.g. the core pre-profile pipeline).
-    storage: Optional[StorageLayout] = None
-    #: The lint pass's findings; ``None`` under a lint-less pipeline.
-    lint_findings: Optional[Tuple[Finding, ...]] = None
-    #: Per-selector reachability facts (``None`` under e.g. the core
-    #: pipeline), and the ABI-completion products built on them.
-    reach: Optional[ReachabilityReport] = None
-    mutability: Optional[MutabilityReport] = None
-    returns: Optional[ReturnsReport] = None
-    _silent_halts: Optional[FrozenSet[int]] = field(default=None, repr=False)
-    _closed_regions: Optional[Dict[int, FrozenSet[int]]] = field(
-        default=None, repr=False
-    )
-    _unique_targets: Optional[Dict[int, int]] = field(default=None, repr=False)
+    ``cfg`` (the jump-resolved CFG) and ``dispatcher`` are computed when
+    the analysis is built, since every client reads them.  The other
+    products are read from the shared :class:`~repro.analysis.framework.
+    AnalysisContext` on first access, so their passes run only for the
+    clients that read them, once each; a product whose pass is not in
+    the pipeline (e.g. ``storage`` under ``CORE_PIPELINE``) reads
+    ``None``.
+    """
+
+    def __init__(self, context: AnalysisContext) -> None:
+        self.context = context
+        self.bytecode: bytes = context.bytecode
+        self.cfg: ResolvedCFG = context["jumps"]
+        self.dispatcher: DispatcherReport = context["dispatcher"]
+        self._silent_halts: Optional[FrozenSet[int]] = None
+        self._closed_regions: Optional[Dict[int, FrozenSet[int]]] = None
+        self._unique_targets: Optional[Dict[int, int]] = None
+
+    @property
+    def stack(self) -> Optional[StackReport]:
+        return self.context.get("stack")
+
+    @property
+    def storage(self) -> Optional[StorageLayout]:
+        """Recovered storage layout."""
+        return self.context.get("storage")
+
+    @property
+    def lint_findings(self) -> Optional[Tuple[Finding, ...]]:
+        """The lint pass's findings."""
+        return self.context.get("lint")
+
+    @property
+    def reach(self) -> Optional[ReachabilityReport]:
+        """Per-selector reachability facts."""
+        return self.context.get("reach")
+
+    @property
+    def mutability(self) -> Optional[MutabilityReport]:
+        return self.context.get("mutability")
+
+    @property
+    def returns(self) -> Optional[ReturnsReport]:
+        return self.context.get("returns")
 
     @property
     def findings(self) -> Tuple[Finding, ...]:
@@ -211,27 +238,17 @@ def analyze(
     tracer: Optional[SpanTracer] = None,
     pipeline: Optional[AnalysisPipeline] = None,
 ) -> ContractAnalysis:
-    """Run the analysis pipeline over ``bytecode``.
+    """The analysis of ``bytecode`` under ``pipeline``.
 
     With no ``pipeline`` argument, :func:`~repro.analysis.framework.
-    default_pipeline` runs (all passes); pass e.g. ``CORE_PIPELINE`` to
-    restrict to the recovery-critical subset.  ``metrics``/``tracer``
-    flow to per-pass phase spans.
+    default_pipeline` supplies the passes; pass e.g. ``CORE_PIPELINE``
+    to restrict to the recovery-critical subset.  The CFG, jump and
+    dispatcher passes run here; the rest run when their product is
+    first read.  ``metrics``/``tracer`` flow to per-pass phase spans,
+    whenever the pass runs.
     """
-    if pipeline is None:
-        pipeline = default_pipeline()
-    context = pipeline.run(bytecode, metrics=metrics, tracer=tracer)
-    products = context.products
     return ContractAnalysis(
-        bytecode=bytecode,
-        cfg=products["jumps"],
-        stack=products["stack"],
-        dispatcher=products["dispatcher"],
-        storage=products.get("storage"),
-        lint_findings=products.get("lint"),
-        reach=products.get("reach"),
-        mutability=products.get("mutability"),
-        returns=products.get("returns"),
+        AnalysisContext(bytecode, pipeline, metrics=metrics, tracer=tracer)
     )
 
 

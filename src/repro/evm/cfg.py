@@ -51,6 +51,10 @@ class ControlFlowGraph:
     blocks: Dict[int, BasicBlock]
     entry: int
     valid_jumpdests: FrozenSet[int]
+    #: The linear-sweep disassembly the blocks were cut from.  The TASE
+    #: engine's decode classifies these objects instead of decoding the
+    #: bytes a second time (:func:`repro.evm.predecode.decode`).
+    instructions: List[Instruction] = field(default_factory=list)
 
     def block_at(self, pc: int) -> Optional[BasicBlock]:
         return self.blocks.get(pc)
@@ -149,4 +153,7 @@ def build_cfg(bytecode: bytes) -> ControlFlowGraph:
                 blocks[succ].predecessors.add(block.start)
 
     entry = instructions[0].pc if instructions else 0
-    return ControlFlowGraph(blocks=blocks, entry=entry, valid_jumpdests=dests)
+    return ControlFlowGraph(
+        blocks=blocks, entry=entry, valid_jumpdests=dests,
+        instructions=instructions,
+    )

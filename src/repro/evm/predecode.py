@@ -8,11 +8,13 @@ unpack and two property calls (``Instruction.next_pc``) per executed
 step.  This module lowers bytecode **once** per ``(bytecode, domain
 class)`` pair into a :class:`DecodedProgram`:
 
-* one linear sweep decodes the stream and classifies every slot into a
-  ``(kind, arg, handler, instruction)`` entry — ``kind``/``arg`` let
-  fused drivers inline the pure stack-shuffle opcodes (PUSH/DUP/SWAP/
-  POP, roughly half of all executed steps), ``handler`` is the
-  pre-bound fallback the per-step drivers use;
+* one pass over the linear-sweep disassembly (:func:`repro.evm.disasm.
+  disassemble`, or the list the CFG was cut from when the caller has
+  one) classifies every slot into a ``(kind, arg, handler,
+  instruction)`` entry — ``kind``/``arg`` let fused drivers inline
+  the pure stack-shuffle opcodes (PUSH/DUP/SWAP/POP, roughly half of
+  all executed steps), ``handler`` is the pre-bound fallback the
+  per-step drivers use;
 * **superblocks** — maximal straight-line runs ending at the first
   control-transfer opcode — materialize lazily per entry pc as one
   C-speed ``bytearray.find`` plus a tuple slice of the shared entry
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Type
 
-from repro.evm.disasm import _UNKNOWN, Instruction, instruction_index
+from repro.evm.disasm import _UNKNOWN, Instruction, disassemble, instruction_index
 from repro.evm.opcodes import OPCODES
 
 #: Mnemonics whose handler may transfer control (return an int target
@@ -57,7 +59,7 @@ KIND_NOP = 7  # JUMPDEST: no effect in every domain
 
 #: byte -> (Op-or-UNKNOWN, immediate size, kind, arg, is control).
 #: Everything derivable from the byte alone is resolved once at import
-#: so the decode sweep in ``DecodedProgram.__init__`` is a single
+#: so the classifying pass in ``DecodedProgram.__init__`` is a single
 #: table-indexed loop.
 _BYTE_TABLE: List[Tuple] = []
 for _byte in range(256):
@@ -146,10 +148,13 @@ class SuperBlock:
 class DecodedProgram:
     """One bytecode lowered against one domain class.
 
-    The decode-and-classify sweep runs once in ``__init__``; per-pc
-    views (``by_pc``, ``dispatch``) and superblocks materialize lazily
-    and are cached on the program, which is itself shared by every
-    engine over the same bytecode via the module decode cache.
+    The classifying pass runs once in ``__init__``, over
+    ``instructions`` when given (a linear-sweep disassembly of
+    ``bytecode``, whose objects the program then shares) or else over
+    a fresh disassembly; per-pc views (``by_pc``, ``dispatch``) and
+    superblocks materialize lazily and are cached on the program,
+    which is itself shared by every engine over the same bytecode via
+    the module decode cache.
     """
 
     __slots__ = (
@@ -158,56 +163,42 @@ class DecodedProgram:
         "_by_pc", "_dispatch", "_blocks",
     )
 
-    def __init__(self, bytecode: bytes, domain_cls: Type) -> None:
+    def __init__(
+        self,
+        bytecode: bytes,
+        domain_cls: Type,
+        instructions: Optional[List[Instruction]] = None,
+    ) -> None:
         self.bytecode = bytecode
         self.domain_cls = domain_cls
+        if instructions is None:
+            instructions = disassemble(bytecode)
         dtab = _domain_table(domain_cls)
-
-        # One fused sweep: decode (same linear-sweep semantics as
-        # ``disasm.disassemble``, truncated PUSH zero-extended) and
-        # classify in the same loop — per-slot driver entries, a
-        # control-op bitmap (so block building is a bytearray.find),
-        # the pc -> slot index, and the JUMPDEST set.
+        # One classifying pass over the linear-sweep disassembly:
+        # per-slot driver entries, a control-op bitmap (so block
+        # building is a bytearray.find), the pc -> slot index, and the
+        # JUMPDEST set.  The byte is read from the code, not the Op:
+        # undecodable bytes share the one UNKNOWN Op.
         code = bytecode
-        n = len(code)
-        instructions: List[Instruction] = []
         entries: List[Tuple] = []
         is_ctrl = bytearray()
         pc_index: Dict[int, int] = {}
         dests: List[int] = []
-        iapp = instructions.append
         eapp = entries.append
         capp = is_ctrl.append
-        from_bytes = int.from_bytes
-        pos = 0
-        i = 0
-        while pos < n:
+        for i, ins in enumerate(instructions):
+            pos = ins.pc
             byte = code[pos]
-            op, imm, kind, arg, ctrl, handler = dtab[byte]
-            if imm:
-                body = pos + 1
-                end = body + imm
-                raw = code[body:end]
-                if end > n:
-                    raw = raw + b"\x00" * (end - n)
-                arg = from_bytes(raw, "big")
-                ins = Instruction(pos, op, arg)
-                pc_index[pos] = i
-                iapp(ins)
-                eapp((KIND_PUSH, arg, handler, ins))
-                capp(0)
-                pos = end
-                i += 1
-                continue
-            ins = Instruction(pos, op)
+            _op, imm, kind, arg, ctrl, handler = dtab[byte]
             pc_index[pos] = i
-            iapp(ins)
+            if imm:
+                eapp((KIND_PUSH, ins.operand, handler, ins))
+                capp(0)
+                continue
             eapp((kind, arg, handler, ins))
             capp(1 if ctrl else 0)
             if byte == 0x5B:
                 dests.append(pos)
-            pos += 1
-            i += 1
         self.instructions = instructions
         self._entries = entries
         self._is_ctrl = is_ctrl
@@ -293,18 +284,24 @@ _PROGRAM_CACHE: Dict[Tuple[bytes, Type], DecodedProgram] = {}
 _PROGRAM_CACHE_MAX = 128
 
 
-def decode(bytecode: bytes, domain_cls: Type) -> DecodedProgram:
+def decode(
+    bytecode: bytes,
+    domain_cls: Type,
+    instructions: Optional[List[Instruction]] = None,
+) -> DecodedProgram:
     """The cached :class:`DecodedProgram` for ``(bytecode, domain_cls)``.
 
     Engines over the same bytecode and domain share one decode: the
     sharded TASE walks, repeated interpreter constructions in a fuzzing
     loop, and the differential replay all skip the sweep and every
-    lazily-built artifact after the first call.
+    lazily-built artifact after the first call.  ``instructions`` — an
+    existing disassembly of ``bytecode``, e.g. the CFG's — is
+    classified on a cache miss instead of decoding the bytes again.
     """
     key = (bytecode, domain_cls)
     program = _PROGRAM_CACHE.get(key)
     if program is None:
-        program = DecodedProgram(bytecode, domain_cls)
+        program = DecodedProgram(bytecode, domain_cls, instructions)
         if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_MAX:
             _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
         _PROGRAM_CACHE[key] = program

@@ -263,11 +263,15 @@ class SigRec:
     def _analyze(self, bytecode: bytes) -> ContractAnalysis:
         """The memoized static analysis for ``bytecode``.
 
-        The pipeline walk (CFG, jump fixpoint, stack check, dispatcher,
-        storage, lint) is pure in the bytecode, so one instance computes
-        it once per bytecode and every consumer — ``recover``'s shard
-        planner, the cross-check, ``profile`` — shares the result.  Only
-        a miss pays the walk (and records the ``static_analysis`` span).
+        Every pass is pure in the bytecode, so one instance keeps one
+        :class:`ContractAnalysis` per bytecode and every consumer —
+        ``recover``'s shard planner, the cross-check, the pruning
+        engine, ``abi``, ``profile`` — shares it.  A miss pays only the
+        CFG, jump and dispatcher passes (inside the ``static_analysis``
+        span): that is all a recovery reads.  The other products are
+        computed on first read — by ``abi`` or ``profile`` — on the same
+        shared analysis, so each pass still runs at most once per
+        bytecode.
         """
         digest = hashlib.sha256(bytecode).digest()
         analysis = self._analysis_memo.get(digest)
@@ -766,9 +770,9 @@ class SigRec:
 
         if signatures is None:
             signatures = self.recover(bytecode)
-        profile: ContractProfile = build_profile(
-            self._analyze(bytecode), signatures
-        )
+        analysis = self._analyze(bytecode)
+        with phase_span(self.metrics, self.tracer, "profile"):
+            profile: ContractProfile = build_profile(analysis, signatures)
         return profile
 
     def abi(
@@ -796,8 +800,9 @@ class SigRec:
             signatures = self.recover(bytecode)
         analysis = self._analyze(bytecode)
         by_selector = {sig.selector: sig for sig in signatures}
-        mutability = analysis.mutability
-        returns = analysis.returns
+        with phase_span(self.metrics, self.tracer, "abi"):
+            mutability = analysis.mutability
+            returns = analysis.returns
         entries: List[dict] = []
         for selector in sorted(set(analysis.selectors) | set(by_selector)):
             sig = by_selector.get(selector)

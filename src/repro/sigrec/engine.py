@@ -884,8 +884,15 @@ class TASEEngine:
         # engine (no process-global cache, no size cliff).
         self.arena = E.ExprArena()
         # One decode per (bytecode, domain class), shared across engines
-        # and with the differential replay via the predecode cache.
-        self._program = _decode_program(bytecode, SymbolicDomain)
+        # and with the differential replay via the predecode cache; an
+        # analysis of these bytes lends the CFG's disassembly so the
+        # code is swept once.
+        shared = None
+        if analysis is not None and analysis.bytecode == bytecode:
+            shared = analysis.cfg.base.instructions
+        self._program = _decode_program(
+            bytecode, SymbolicDomain, instructions=shared
+        )
         self._jumpdests = self._program.jumpdests
         self._env_counter = 0
         # Global symbolic-branch budgets, keyed by (jumpi pc, side).

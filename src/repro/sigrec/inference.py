@@ -492,7 +492,11 @@ class TypeInference:
         cluster = _Cluster(position=loc_value, family="dynamic")
         cluster.labels.add(("cd", loc_value))
 
-        num_expr = E.calldata(E.binop("add", E.const(4), base))
+        # Built in a throwaway arena: interning in the module-level one
+        # would pin ``base`` (and the engine's expression graph behind
+        # it) for the life of the process.  Comparisons are structural.
+        probes = E.ExprArena()
+        num_expr = probes.calldata(probes.binop("add", probes.const(4), base))
         num_idx = None
         derived_loads: List[int] = []
         for j in self._loads_deriving(load_idx):
@@ -544,7 +548,7 @@ class TypeInference:
         # Vyper R23: one copy of the num field *plus* the capped payload
         # (source = offset + 4, i.e. including the num word) of constant
         # length 32 + maxLen.
-        src_is_num_field = first.src == E.binop("add", E.const(4), base)
+        src_is_num_field = first.src == num_expr.args[0]  # offset + 4
         if src_is_num_field and first.length.is_const and len(copy_pcs) == 1:
             # The cap itself (length - 32) is not part of the canonical
             # ABI type, so only bytes-vs-string needs deciding (R26).

@@ -164,3 +164,20 @@ def test_function_id_slot_excluded():
 def test_empty_events_is_parameterless():
     inferred = _infer(FunctionEvents(selector=7))
     assert inferred.param_types == []
+
+
+def test_recovery_leaves_the_module_arena_unchanged():
+    """Inference probes must not intern engine expressions process-wide:
+    each interned node would pin its contract's expression graph."""
+    from repro.abi.signature import FunctionSignature
+    from repro.compiler import compile_contract
+    from repro.sigrec.api import SigRec
+
+    code = compile_contract([
+        FunctionSignature.parse("f(bytes,uint256[])"),
+        FunctionSignature.parse("g(string)"),
+    ]).bytecode
+    before = len(E._DEFAULT_ARENA)
+    for _ in range(2):
+        assert SigRec().recover(code)
+    assert len(E._DEFAULT_ARENA) == before
