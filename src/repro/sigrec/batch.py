@@ -69,50 +69,32 @@ DEFAULT_UNIT_SIZE = 8
 #: (job index, unit index, bytecode, only, exclude).
 _Unit = Tuple[int, int, bytes, Optional[FrozenSet[int]], FrozenSet[int]]
 
-#: Per-process shared function memos: (fingerprint, memo_dir) ->
-#: (run token, memo).  Living at module level makes the memo survive
+#: Per-process shared memos: (memo class, fingerprint, directory) ->
+#: (run token, memo).  Living at module level makes a memo survive
 #: across the many short-lived ``SigRec`` instances a worker constructs
 #: — that persistence is the whole point: the Nth unit with a familiar
-#: function body skips its TASE shard entirely.  The token scopes the
-#: *memory* tier to one ``recover_all`` call: a forked worker inherits
-#: the parent's module state, so without the token a serial run would
-#: pre-warm a later parallel run's workers and serial/parallel counter
-#: aggregates would silently diverge.  Cross-run reuse is the on-disk
-#: tier's job (``memo_dir``), which is deliberately token-free.
-_WORKER_MEMOS: Dict[
-    Tuple[str, Optional[str]], Tuple[str, FunctionMemo]
-] = {}
-
-#: Per-process shared inference memos, with the same (fingerprint,
-#: directory) keying and run-token scoping as :data:`_WORKER_MEMOS`.
-#: Kept separate because the two memos have independent directories and
-#: one can be disabled without the other.
-_WORKER_INF_MEMOS: Dict[
-    Tuple[str, Optional[str]], Tuple[str, InferenceMemo]
-] = {}
+#: function body skips its TASE shard (or its inference) entirely.  The
+#: token scopes the *memory* tier to one ``recover_all`` call: a forked
+#: worker inherits the parent's module state, so without the token a
+#: serial run would pre-warm a later parallel run's workers and
+#: serial/parallel counter aggregates would silently diverge.
+#: Cross-run reuse is the on-disk tier's job (the directory), which is
+#: deliberately token-free.
+_WORKER_MEMOS: Dict[Tuple[type, str, Optional[str]], Tuple[str, object]] = {}
 
 
 def _worker_memo(
-    options: Dict[str, object], memo_dir: Optional[str], token: str
-) -> FunctionMemo:
-    memo = FunctionMemo(options, directory=memo_dir)
-    key = (memo.fingerprint, memo_dir)
+    memo_class: type,
+    options: Dict[str, object],
+    directory: Optional[str],
+    token: str,
+):
+    memo = memo_class(options, directory=directory)
+    key = (memo_class, memo.fingerprint, directory)
     held = _WORKER_MEMOS.get(key)
     if held is not None and held[0] == token:
         return held[1]
     _WORKER_MEMOS[key] = (token, memo)
-    return memo
-
-
-def _worker_inf_memo(
-    options: Dict[str, object], inf_memo_dir: Optional[str], token: str
-) -> InferenceMemo:
-    memo = InferenceMemo(options, directory=inf_memo_dir)
-    key = (memo.fingerprint, inf_memo_dir)
-    held = _WORKER_INF_MEMOS.get(key)
-    if held is not None and held[0] == token:
-        return held[1]
-    _WORKER_INF_MEMOS[key] = (token, memo)
     return memo
 
 
@@ -160,40 +142,34 @@ def _analyze_unit(
         metrics=registry, tracer=tracer, ledger=ledger, profiler=profiler,
         **options,
     )
-    memo = None
-    probed_before = (0, 0)
-    if tool.memo:
-        memo = _worker_memo(tool.options(), memo_dir, token)
-        tool.set_function_memo(memo)
-        probed_before = (memo.hits, memo.misses)
-        # The shared memo reports into whichever unit is running; a
-        # worker processes one unit at a time, so this is race-free.
-        memo.metrics = registry if registry is not None else NULL_REGISTRY
-    inf_memo = None
-    inf_before = (0, 0)
-    if tool.inference_memo:
-        inf_memo = _worker_inf_memo(tool.options(), inf_memo_dir, token)
+    fn_memo = (
+        _worker_memo(FunctionMemo, tool.options(), memo_dir, token)
+        if tool.memo else None
+    )
+    inf_memo = (
+        _worker_memo(InferenceMemo, tool.options(), inf_memo_dir, token)
+        if tool.inference_memo else None
+    )
+    if fn_memo is not None:
+        tool.set_function_memo(fn_memo)
+    if inf_memo is not None:
         tool.set_inference_memo(inf_memo)
-        inf_before = (inf_memo.hits, inf_memo.misses)
-        inf_memo.metrics = (
-            registry if registry is not None else NULL_REGISTRY
-        )
+    memos = (fn_memo, inf_memo)
+    before = [(m.hits, m.misses) if m is not None else (0, 0) for m in memos]
+    for memo in memos:
+        if memo is not None:
+            # A shared memo reports into whichever unit is running; a
+            # worker processes one unit at a time, so this is race-free.
+            memo.metrics = registry if registry is not None else NULL_REGISTRY
     start = time.perf_counter()
     signatures = tool.recover(bytecode, only=only, exclude=exclude)
     elapsed = time.perf_counter() - start
-    fn_delta = (0, 0)
-    if memo is not None:
-        memo.metrics = NULL_REGISTRY
-        fn_delta = (
-            memo.hits - probed_before[0], memo.misses - probed_before[1]
-        )
-    inf_delta = (0, 0)
-    if inf_memo is not None:
-        inf_memo.metrics = NULL_REGISTRY
-        inf_delta = (
-            inf_memo.hits - inf_before[0], inf_memo.misses - inf_before[1]
-        )
-    probed = fn_delta + inf_delta
+    probed: Tuple[int, ...] = ()
+    for memo, (hits, misses) in zip(memos, before):
+        if memo is not None:
+            memo.metrics = NULL_REGISTRY
+            hits, misses = memo.hits - hits, memo.misses - misses
+        probed += (hits, misses)
     counts = {r: c for r, c in tool.tracker.counts.items() if c}
     doc = registry.to_dict() if registry is not None else None
     obs: Optional[dict] = None

@@ -1,6 +1,8 @@
 """The persistent result cache: round-trips, invalidation, robustness."""
 
+import hashlib
 import json
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -8,9 +10,18 @@ import pytest
 
 from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
+from repro.sigrec import cache as cache_module
 from repro.sigrec.api import RecoveredSignature, SigRec
 from repro.sigrec.batch import BatchRecovery
-from repro.sigrec.cache import ResultCache, options_fingerprint
+from repro.sigrec.cache import (
+    FunctionMemo,
+    FunctionRecord,
+    InferenceMemo,
+    InferenceRecord,
+    ResultCache,
+    options_fingerprint,
+)
+from tests.sigrec.segments import corrupt_record, record_span
 
 
 def _code(signature="a(uint8)"):
@@ -103,16 +114,16 @@ def test_corrupt_entry_is_a_miss_then_repaired(tmp_path):
     code = _code()
     cache = ResultCache(str(tmp_path), SigRec().options())
     cache.put(code, [], {})
-    path = cache._entry_path(code)
-    with open(path, "w") as handle:
-        handle.write("{not json")
+    corrupt_record(cache._log.path, hashlib.sha256(code).hexdigest())
     assert cache.get(code) is None
-    # A batch run treats it as a miss and rewrites a good entry.
+    # A batch run treats it as a miss and appends a good entry.
     runner = BatchRecovery(tool=SigRec(), workers=0, cache_dir=str(tmp_path))
     runner.recover_all([code])
     assert runner.stats.cache_misses == 1
-    with open(path) as handle:
-        assert json.load(handle)["signatures"]
+    _start, end = record_span(cache._log.path, hashlib.sha256(code).hexdigest())
+    with open(cache._log.path, "rb") as handle:
+        payload = handle.read(end).rsplit(b"\t", 1)[1]
+    assert json.loads(payload)["signatures"]
 
 
 def test_entries_are_content_addressed(tmp_path):
@@ -121,7 +132,7 @@ def test_entries_are_content_addressed(tmp_path):
     cache.put(a, [], {})
     cache.put(b, [], {})
     assert cache.entry_count() == 2
-    # Layout: <dir>/<fingerprint>/<sha[:2]>/<sha>.json
+    # Layout: <dir>/<fingerprint>/entries.log
     root = os.path.join(str(tmp_path), cache.fingerprint)
     assert os.path.isdir(root)
 
@@ -223,3 +234,271 @@ def test_analysis_memo_is_bounded():
     for code in codes:
         tool._analyze(code)
     assert len(tool._analysis_memo) == _ANALYSIS_MEMO_SIZE
+
+
+# ----------------------------------------------------------------------
+# The segment log under every disk tier: torn tails, flipped bytes,
+# concurrent writers, malformed payloads and pre-log cache directories.
+
+TIERS = ["result", "fnmemo", "infmemo"]
+
+
+def _tier(name, directory):
+    options = SigRec().options()
+    if name == "result":
+        return ResultCache(str(directory), options)
+    if name == "fnmemo":
+        return FunctionMemo(options, directory=str(directory / "fnmemo"))
+    return InferenceMemo(options, directory=str(directory / "infmemo"))
+
+
+def _item(tier, i):
+    """(what ``get``/``put`` take, the record key in the log) of item i."""
+    if isinstance(tier, ResultCache):
+        code = b"\x60\x80" + i.to_bytes(4, "big")
+        return code, hashlib.sha256(code).hexdigest()
+    if isinstance(tier, FunctionMemo):
+        key = tier.key_for(i.to_bytes(4, "big"))
+    else:
+        key = tier.key_for(f"digest-{i}")
+    return key, key
+
+
+def _put(tier, i, width=1):
+    """Store item i: ``width`` parameters of type uint256."""
+    handle, _key = _item(tier, i)
+    types = ("uint256",) * width
+    if isinstance(tier, ResultCache):
+        signature = RecoveredSignature(
+            selector=i, param_types=types, language="solidity",
+            elapsed_seconds=0.5, fired_rules=("R4",),
+            confidences=("high",) * width,
+        )
+        tier.put(handle, [signature], {"R4": 1})
+        return
+    fields = dict(
+        param_types=types, language="solidity", fired_rules=("R4",),
+        confidences=("high",) * width, rule_counts={"R4": 1},
+        conflicts={},
+    )
+    if isinstance(tier, FunctionMemo):
+        tier.put(handle, FunctionRecord(selector=i, **fields))
+    else:
+        tier.put(handle, InferenceRecord(**fields))
+
+
+def _types(tier, i):
+    """The parameter types ``get`` returns for item i, or None on a miss."""
+    handle, _key = _item(tier, i)
+    found = tier.get(handle)
+    if found is None:
+        return None
+    if isinstance(tier, ResultCache):
+        return found[0][0].param_types
+    return found.param_types
+
+
+@pytest.mark.parametrize("name", TIERS)
+def test_torn_tail_is_ignored_and_the_log_stays_appendable(tmp_path, name):
+    writer = _tier(name, tmp_path)
+    for i in range(4):
+        _put(writer, i)
+    path = writer._log.path
+    start, end = record_span(path, _item(writer, 3)[1])
+    with open(path, "r+b") as handle:  # a kill -9 mid-write
+        handle.truncate(start + (end - start) // 2)
+
+    reopened = _tier(name, tmp_path)
+    assert [_types(reopened, i) for i in range(3)] == [("uint256",)] * 3
+    assert _types(reopened, 3) is None  # the torn record
+    _put(reopened, 4)
+    _put(reopened, 3)
+
+    fresh = _tier(name, tmp_path)
+    assert [_types(fresh, i) for i in range(5)] == [("uint256",)] * 5
+    assert fresh.corrupt == 0
+
+
+@pytest.mark.parametrize("name", TIERS)
+def test_flipped_payload_byte_is_a_corrupt_miss(tmp_path, name):
+    writer = _tier(name, tmp_path)
+    for i in range(3):
+        _put(writer, i)
+    # Still valid JSON, still a plausible type: only the checksum knows.
+    corrupt_record(writer._log.path, _item(writer, 1)[1], b"uint256", b"uint257")
+
+    reader = _tier(name, tmp_path)
+    assert _types(reader, 1) is None
+    assert reader.corrupt == 1
+    assert [_types(reader, i) for i in (0, 2)] == [("uint256",)] * 2
+    if isinstance(reader, ResultCache):
+        assert reader.invalidations == 1
+
+
+def _append_many(name, directory, first, count, start):
+    start.wait()
+    tier = _tier(name, directory)
+    for i in range(first, first + count):
+        # Widths up to 200 parameters: some records span several pages.
+        _put(tier, i, width=1 + i % 200)
+
+
+@pytest.mark.parametrize("name", TIERS)
+def test_concurrent_writers_share_one_log(tmp_path, name):
+    context = multiprocessing.get_context("spawn")
+    start = context.Event()
+    writers = [
+        context.Process(
+            target=_append_many, args=(name, tmp_path, w * 500, 500, start)
+        )
+        for w in range(2)
+    ]
+    for process in writers:
+        process.start()
+    start.set()
+    for process in writers:
+        process.join(60)
+        assert process.exitcode == 0
+
+    reader = _tier(name, tmp_path)
+    for i in range(1000):
+        assert _types(reader, i) == ("uint256",) * (1 + i % 200)
+    assert reader.corrupt == 0
+
+
+def test_writes_are_visible_to_other_instances_within_the_run(tmp_path):
+    reader = _tier("result", tmp_path)
+    writer = _tier("result", tmp_path)
+    _put(writer, 0)
+    assert _types(reader, 0) == ("uint256",)  # indexes the log
+    _put(writer, 1)
+    assert _types(reader, 1) == ("uint256",)  # extends the index
+    _put(writer, 1, width=2)  # a superseding record
+    assert _types(_tier("result", tmp_path), 1) == ("uint256", "uint256")
+    assert reader.entry_count() == 2
+
+
+def test_index_scan_handles_records_longer_than_a_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "_SCAN_CHUNK", 64)
+    writer = _tier("infmemo", tmp_path)
+    for i in range(20):
+        _put(writer, i, width=1 + 7 * i)
+    reader = _tier("infmemo", tmp_path)
+    assert [_types(reader, i) for i in range(20)] == [
+        ("uint256",) * (1 + 7 * i) for i in range(20)
+    ]
+
+
+def test_attach_profile_supersedes_the_entry(tmp_path):
+    cache = _tier("result", tmp_path)
+    code, _key = _item(cache, 0)
+    assert cache.attach_profile(code, {"p": 1}) is False  # nothing yet
+    _put(cache, 0)
+    assert cache.get_profile(code) is None
+    assert cache.attach_profile(code, {"p": 1}) is True
+    fresh = _tier("result", tmp_path)
+    assert fresh.get_profile(code) == {"p": 1}
+    signatures, counts = fresh.get(code)
+    assert signatures[0].param_types == ("uint256",) and counts == {"R4": 1}
+    assert fresh.entry_count() == 1
+
+
+def _rule_counts_as_list(entry):
+    if isinstance(entry, dict):
+        return {
+            key: [1] if key == "rule_counts" else _rule_counts_as_list(value)
+            for key, value in entry.items()
+        }
+    return entry
+
+
+_MALFORMED = {
+    "list": lambda entry: [1, 2],
+    "string": lambda entry: "str",
+    "rule-counts-list": _rule_counts_as_list,
+}
+
+
+class _MalformingJson:
+    """Stands in for the cache module's ``json``: every entry a tier
+    writes is replaced by ``malform(entry)``, still valid JSON."""
+
+    load = staticmethod(json.load)
+    loads = staticmethod(json.loads)
+
+    def __init__(self, malform):
+        self.malform = malform
+
+    def dumps(self, obj, **kwargs):
+        return json.dumps(self.malform(obj), **kwargs)
+
+    def dump(self, obj, handle, **kwargs):
+        handle.write(self.dumps(obj, **kwargs))
+
+
+@pytest.mark.parametrize("malform", sorted(_MALFORMED))
+def test_malformed_entry_is_a_miss_on_every_tier(tmp_path, monkeypatch, malform):
+    tiers = {name: _tier(name, tmp_path) for name in TIERS}
+    with monkeypatch.context() as patched:
+        patched.setattr(cache_module, "json", _MalformingJson(_MALFORMED[malform]))
+        for tier in tiers.values():
+            _put(tier, 0)
+
+    cache = _tier("result", tmp_path)
+    code, _key = _item(cache, 0)
+    assert cache.get(code) is None
+    assert (cache.misses, cache.invalidations, cache.corrupt) == (1, 1, 0)
+    assert cache.get_profile(code) is None
+    assert cache.attach_profile(code, {"p": 1}) is False
+    for name in ("fnmemo", "infmemo"):
+        memo = _tier(name, tmp_path)
+        assert _types(memo, 0) is None
+        assert (memo.misses, memo.corrupt) == (1, 0)
+
+
+def test_pre_log_cache_directory_reads_as_misses_and_is_left_alone(
+    tmp_path, monkeypatch
+):
+    """A directory written by the file-per-entry layout (schema 1)."""
+    options = SigRec().options()
+    code = _code()
+    with monkeypatch.context() as patched:
+        patched.setattr(cache_module, "SCHEMA_VERSION", 1)
+        old_fp = options_fingerprint(options)
+        fn_key = FunctionMemo(options).key_for(b"body")
+        inf_key = InferenceMemo(options).key_for("digest")
+    record = {
+        "param_types": ["uint8"], "language": "solidity",
+        "fired_rules": [], "confidences": ["high"],
+        "rule_counts": {}, "conflicts": {},
+    }
+    sha = hashlib.sha256(code).hexdigest()
+    old_files = {
+        os.path.join(old_fp, sha[:2], f"{sha}.json"): {
+            "schema": 1, "fingerprint": old_fp, "options": options,
+            "signatures": [], "rule_counts": {},
+        },
+        os.path.join("fnmemo", f"fn-{old_fp}", fn_key[:2], f"{fn_key}.json"): {
+            "schema": 1, "record": dict(record, selector=1),
+        },
+        os.path.join("infmemo", f"inf-{old_fp}", inf_key[:2], f"{inf_key}.json"): {
+            "schema": 1, "record": record,
+        },
+    }
+    for relative, entry in old_files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(entry))
+
+    cache = ResultCache(str(tmp_path), options)
+    fn_memo = FunctionMemo(options, directory=str(tmp_path / "fnmemo"))
+    inf_memo = InferenceMemo(options, directory=str(tmp_path / "infmemo"))
+    assert cache.fingerprint != old_fp
+    assert cache.get(code) is None and cache.invalidations == 0
+    assert fn_memo.get(fn_memo.key_for(b"body")) is None
+    assert inf_memo.get(inf_memo.key_for("digest")) is None
+    runner = BatchRecovery(tool=SigRec(), workers=0, cache_dir=str(tmp_path))
+    runner.recover_all([code])
+    assert runner.stats.cache_misses == 1
+    for relative, entry in old_files.items():
+        assert json.loads((tmp_path / relative).read_text()) == entry

@@ -25,6 +25,7 @@ from repro.sigrec.events import (
     UseEvent,
     events_digest,
 )
+from tests.sigrec.segments import corrupt_record
 
 
 def _key(sig):
@@ -102,9 +103,7 @@ def test_inference_memo_round_trip_and_invalidation(tmp_path):
     assert other.get(other.key_for(events_digest(_events()))) is None
 
     # Corrupt the on-disk entry: present-but-unreadable is a miss.
-    entry = fresh._entry_path(key)
-    with open(entry, "w", encoding="utf-8") as handle:
-        handle.write("garbage")
+    corrupt_record(fresh._log.path, key)
     cold = InferenceMemo(options, directory=str(tmp_path))
     assert cold.get(key) is None
 

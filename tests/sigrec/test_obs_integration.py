@@ -1,5 +1,7 @@
 """Observability wiring across engine, API, cache, and batch layers."""
 
+import hashlib
+
 from repro.abi.signature import FunctionSignature
 from repro.compiler import compile_contract
 from repro.obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, SpanTracer
@@ -7,6 +9,7 @@ from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery
 from repro.sigrec.cache import ResultCache
 from repro.sigrec.engine import TASEEngine
+from tests.sigrec.segments import corrupt_record
 
 
 def _bytecode(*sigs):
@@ -96,9 +99,7 @@ def test_cache_metrics_distinguish_miss_hit_invalidation(tmp_path):
     cache.put(code, tool.recover(code), dict(tool.tracker.counts))
     assert cache.get(code) is not None  # hit
     # Corrupt the entry in place: present-but-unreadable -> invalidation.
-    entry_path = cache._entry_path(code)
-    with open(entry_path, "w", encoding="utf-8") as handle:
-        handle.write("garbage")
+    corrupt_record(cache._log.path, hashlib.sha256(code).hexdigest())
     assert cache.get(code) is None
     values = registry.counter_values()
     assert values["cache.misses"] == 2

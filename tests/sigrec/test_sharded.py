@@ -24,6 +24,7 @@ from repro.sigrec.api import SigRec
 from repro.sigrec.batch import BatchRecovery
 from repro.sigrec.cache import FunctionMemo, FunctionRecord
 from repro.sigrec.engine import TASEEngine, merge_tase_results
+from tests.sigrec.segments import corrupt_record
 
 SIGS = [
     FunctionSignature.parse("transfer(address,uint256)"),
@@ -210,9 +211,7 @@ def test_function_memo_round_trip_and_invalidation(tmp_path):
     assert other.get(other.key_for(b"region-bytes")) is None
 
     # Corrupt the on-disk entry: present-but-unreadable is a miss.
-    entry = fresh._entry_path(key)
-    with open(entry, "w", encoding="utf-8") as handle:
-        handle.write("garbage")
+    corrupt_record(fresh._log.path, key)
     cold = FunctionMemo(options, directory=str(tmp_path))
     assert cold.get(key) is None
 
