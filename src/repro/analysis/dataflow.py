@@ -20,9 +20,10 @@ resolved target set over-approximates nothing and misses nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis.walker import FOLDS, Jump, Machine, record_jump, walk
 from repro.evm.cfg import BasicBlock, ControlFlowGraph, build_cfg
 
 #: An abstract stack slot: a frozenset of possible constants, or None
@@ -37,22 +38,7 @@ MAX_STACK = 64
 #: reports itself incomplete (monotone lattice ⇒ normally unreachable).
 _MAX_VISITS_PER_BLOCK = 4 * (MAX_SET + 2) * MAX_STACK
 
-_WORD = 1 << 256
-_MASK = _WORD - 1
-
-_FOLD = {
-    "ADD": lambda a, b: (a + b) & _MASK,
-    "SUB": lambda a, b: (a - b) & _MASK,
-    "MUL": lambda a, b: (a * b) & _MASK,
-    "DIV": lambda a, b: (a // b) & _MASK if b else 0,
-    "MOD": lambda a, b: (a % b) & _MASK if b else 0,
-    "EXP": lambda a, b: pow(a, b, _WORD),
-    "AND": lambda a, b: a & b,
-    "OR": lambda a, b: a | b,
-    "XOR": lambda a, b: a ^ b,
-    "SHL": lambda a, b: (b << a) & _MASK if a < 256 else 0,
-    "SHR": lambda a, b: b >> a if a < 256 else 0,
-}
+_MASK = (1 << 256) - 1
 
 
 @dataclass
@@ -114,76 +100,31 @@ def _join_stacks(
     return tuple(_join_values(a[i], b[i]) for i in range(depth))
 
 
-def _cross_fold(fold, a: FrozenSet[int], b: FrozenSet[int]) -> AbsValue:
-    out: Set[int] = set()
-    for x in a:
-        for y in b:
-            out.add(fold(x, y))
-            if len(out) > MAX_SET:
-                return None
-    return frozenset(out)
+def _folder(fold):
+    def handler(_flow, _ins, a: AbsValue, b: AbsValue) -> AbsValue:
+        if a is None or b is None:
+            return None
+        out = {fold(x, y) for x in a for y in b}
+        return frozenset(out) if len(out) <= MAX_SET else None
+
+    return handler
 
 
-class _BlockFlow:
-    """Transfer-function output for one block under one in-state."""
-
-    __slots__ = ("out_stack", "jump_targets", "jump_pc")
-
-    def __init__(self) -> None:
-        self.out_stack: Tuple[AbsValue, ...] = ()
-        self.jump_targets: AbsValue = None
-        self.jump_pc: Optional[int] = None
+def _not(_flow, _ins, a: AbsValue) -> AbsValue:
+    return frozenset((~x) & _MASK for x in a) if a is not None else None
 
 
-def _transfer(block: BasicBlock, in_stack: Tuple[AbsValue, ...]) -> _BlockFlow:
-    """Abstractly execute ``block`` from ``in_stack`` (top-first)."""
-    stack: List[AbsValue] = list(in_stack)
-
-    def pop() -> AbsValue:
-        return stack.pop(0) if stack else None
-
-    def push(value: AbsValue) -> None:
-        stack.insert(0, value)
-        if len(stack) > MAX_STACK:
-            del stack[MAX_STACK:]
-
-    flow = _BlockFlow()
-    for ins in block.instructions:
-        op = ins.op
-        name = op.name
-        if op.is_push:
-            push(frozenset((ins.operand or 0,)))
-        elif op.is_dup:
-            depth = op.code - 0x7F
-            push(stack[depth - 1] if depth <= len(stack) else None)
-        elif op.is_swap:
-            depth = op.code - 0x8F
-            while len(stack) < depth + 1:
-                stack.append(None)
-            stack[0], stack[depth] = stack[depth], stack[0]
-        elif name in ("JUMP", "JUMPI"):
-            flow.jump_pc = ins.pc
-            flow.jump_targets = pop()
-            if name == "JUMPI":
-                pop()
-        elif name in _FOLD:
-            a, b = pop(), pop()
-            if a is not None and b is not None:
-                push(_cross_fold(_FOLD[name], a, b))
-            else:
-                push(None)
-        elif name == "NOT":
-            a = pop()
-            push(
-                frozenset((~x) & _MASK for x in a) if a is not None else None
-            )
-        else:
-            for _ in range(op.pops):
-                pop()
-            for _ in range(op.pushes):
-                push(None)
-    flow.out_stack = tuple(stack)
-    return flow
+_MACHINE = Machine(
+    unknown=None,
+    cap=MAX_STACK,
+    const=lambda value: frozenset((value,)),
+    handlers={
+        "JUMP": record_jump,
+        "JUMPI": record_jump,
+        "NOT": _not,
+        **{name: _folder(fold) for name, fold in FOLDS.items()},
+    },
+)
 
 
 def resolve_jumps(cfg: ControlFlowGraph) -> ResolvedCFG:
@@ -191,29 +132,37 @@ def resolve_jumps(cfg: ControlFlowGraph) -> ResolvedCFG:
     blocks = cfg.blocks
     dests = cfg.valid_jumpdests
 
+    # In-states are top-first tuples (index 0 = stack top), so joins
+    # align at the top by position.
     in_states: Dict[int, Tuple[AbsValue, ...]] = {cfg.entry: ()}
     resolved: Dict[int, Set[int]] = {}
     invalid: Dict[int, Set[int]] = {}
     unresolved: Set[int] = set()
-    successors: Dict[int, Set[int]] = {
-        start: set(block.successors) for start, block in blocks.items()
-    }
+    # Resolved edges only; static ones are read off the blocks.
+    added: Dict[int, Set[int]] = {}
 
     visits: Dict[int, int] = {}
     incomplete = False
     work: List[int] = [cfg.entry] if cfg.entry in blocks else []
     on_work: Set[int] = set(work)
+    flow = Jump()
 
     def propagate(target: int, out_stack: Tuple[AbsValue, ...]) -> None:
         if target not in blocks:
             return
         current = in_states.get(target)
-        joined = out_stack if current is None else _join_stacks(current, out_stack)
-        if current is None or joined != current:
-            in_states[target] = joined
-            if target not in on_work:
-                work.append(target)
-                on_work.add(target)
+        if current is None:
+            joined = out_stack
+        elif current == out_stack:
+            return
+        else:
+            joined = _join_stacks(current, out_stack)
+            if joined == current:
+                return
+        in_states[target] = joined
+        if target not in on_work:
+            work.append(target)
+            on_work.add(target)
 
     while work:
         start = work.pop()
@@ -224,31 +173,28 @@ def resolve_jumps(cfg: ControlFlowGraph) -> ResolvedCFG:
             incomplete = True
             continue
         block = blocks[start]
-        flow = _transfer(block, in_states.get(start, ()))
+        flow.jumped = False
+        stack = walk(_MACHINE, flow, block, list(reversed(in_states.get(start, ()))))
+        stack.reverse()
+        out_stack = tuple(stack)
         terminator = block.terminator
-        name = terminator.op.name
-
-        if flow.jump_pc is not None:
-            if flow.jump_targets is None:
-                unresolved.add(flow.jump_pc)
+        if flow.jumped:
+            jump_pc = terminator.pc
+            if flow.target is None:
+                unresolved.add(jump_pc)
             else:
-                unresolved.discard(flow.jump_pc)
-                good = resolved.setdefault(flow.jump_pc, set())
-                bad = invalid.setdefault(flow.jump_pc, set())
-                for target in flow.jump_targets:
+                unresolved.discard(jump_pc)
+                good = resolved.setdefault(jump_pc, set())
+                bad = invalid.setdefault(jump_pc, set())
+                for target in flow.target:
                     (good if target in dests else bad).add(target)
+                added.setdefault(start, set()).update(good)
                 for target in good:
-                    if target not in successors[start]:
-                        successors[start].add(target)
-                    propagate(target, flow.out_stack)
+                    propagate(target, out_stack)
                 if not bad:
-                    invalid.pop(flow.jump_pc, None)
-        if name == "JUMPI" or (
-            flow.jump_pc is None
-            and not terminator.op.is_terminator
-            and name != "UNKNOWN"
-        ):
-            propagate(terminator.next_pc, flow.out_stack)
+                    invalid.pop(jump_pc, None)
+        if block.falls_through:
+            propagate(terminator.next_pc, out_stack)
 
     # A jump that stayed unresolved on every visit but also never saw a
     # constant is input-dependent; one resolved on a later visit leaves
@@ -256,7 +202,10 @@ def resolve_jumps(cfg: ControlFlowGraph) -> ResolvedCFG:
     # reached (dead code) are reported as neither.
     return ResolvedCFG(
         base=cfg,
-        successors={s: frozenset(v) for s, v in successors.items()},
+        successors={
+            start: frozenset(block.successors.union(added.get(start, ())))
+            for start, block in blocks.items()
+        },
         resolved_targets={pc: frozenset(v) for pc, v in resolved.items()},
         unresolved_jumps=frozenset(unresolved),
         invalid_targets={pc: frozenset(v) for pc, v in invalid.items()},

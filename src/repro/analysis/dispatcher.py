@@ -30,6 +30,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.stackcheck import Finding
+from repro.analysis.walker import Jump, Machine, explore, record_jump, walk
 
 _SHIFT_224 = 224
 _DIV_2_224 = 1 << 224
@@ -105,18 +106,20 @@ def region_preimage(
     return b"\x00".join(parts)
 
 
-def _unknown_token() -> _Token:
-    return (_UNKNOWN,)
+_UNKNOWN_TOKEN: _Token = (_UNKNOWN,)
 
 
 def _is_const(token: _Token, value: Optional[int] = None) -> bool:
     return token[0] == _CONST and (value is None or token[1] == value)
 
 
-def _binop_token(name: str, a: _Token, b: _Token) -> _Token:
+def _calldataload(_state, _ins, loc: _Token) -> _Token:
+    return (_CD0,) if _is_const(loc, 0) else _UNKNOWN_TOKEN
+
+
+def _binop(_state, ins, a: _Token, b: _Token) -> _Token:
     """a = stack top (popped first), b = next — EVM operand order."""
-    if name == "CALLDATALOAD":
-        raise AssertionError("handled by caller")
+    name = ins.op.name
     if name == "DIV" and a[0] == _CD0 and _is_const(b, _DIV_2_224):
         return (_FID,)
     if name == "SHR" and _is_const(a, _SHIFT_224) and b[0] == _CD0:
@@ -131,53 +134,19 @@ def _binop_token(name: str, a: _Token, b: _Token) -> _Token:
             return (_SELCMP, b[1])
         if b[0] == _FID and _is_const(a) and a[1] <= _SELECTOR_MASK:
             return (_SELCMP, a[1])
-    return _unknown_token()
+    return _UNKNOWN_TOKEN
 
 
-def _walk_block(
-    block, stack: List[_Token]
-) -> Tuple[List[_Token], Optional[_Token], Optional[_Token]]:
-    """Execute one block; returns (out_stack, jump_target, jump_cond)."""
-    jump_target: Optional[_Token] = None
-    jump_cond: Optional[_Token] = None
-
-    def pop() -> _Token:
-        return stack.pop(0) if stack else _unknown_token()
-
-    def push(token: _Token) -> None:
-        stack.insert(0, token)
-        del stack[_MAX_STACK:]
-
-    for ins in block.instructions:
-        op = ins.op
-        name = op.name
-        if op.is_push:
-            push((_CONST, ins.operand or 0))
-        elif op.is_dup:
-            depth = op.code - 0x7F
-            push(stack[depth - 1] if depth <= len(stack) else _unknown_token())
-        elif op.is_swap:
-            depth = op.code - 0x8F
-            while len(stack) < depth + 1:
-                stack.append(_unknown_token())
-            stack[0], stack[depth] = stack[depth], stack[0]
-        elif name == "CALLDATALOAD":
-            loc = pop()
-            push((_CD0,) if _is_const(loc, 0) else _unknown_token())
-        elif name == "JUMP":
-            jump_target = pop()
-        elif name == "JUMPI":
-            jump_target = pop()
-            jump_cond = pop()
-        elif op.pops == 2 and op.pushes == 1:
-            a, b = pop(), pop()
-            push(_binop_token(name, a, b))
-        else:
-            for _ in range(op.pops):
-                pop()
-            for _ in range(op.pushes):
-                push(_unknown_token())
-    return stack, jump_target, jump_cond
+_MACHINE = Machine(
+    unknown=_UNKNOWN_TOKEN,
+    cap=_MAX_STACK,
+    handlers={
+        "CALLDATALOAD": _calldataload,
+        "JUMP": record_jump,
+        "JUMPI": record_jump,
+        **dict.fromkeys(("DIV", "SHR", "AND", "EQ"), _binop),
+    },
+)
 
 
 def extract_dispatch(rcfg: ResolvedCFG) -> DispatcherReport:
@@ -189,32 +158,16 @@ def extract_dispatch(rcfg: ResolvedCFG) -> DispatcherReport:
     if rcfg.entry not in blocks:
         return DispatcherReport(findings=tuple(findings))
 
-    visits: Dict[int, int] = {}
-    work: List[Tuple[int, Tuple[_Token, ...]]] = [(rcfg.entry, ())]
-    seen_states: Set[Tuple[int, Tuple[_Token, ...]]] = {(rcfg.entry, ())}
+    jump = Jump()
 
-    while work:
-        start, in_stack = work.pop()
-        block = blocks.get(start)
-        if block is None:
-            continue
-        count = visits.get(start, 0) + 1
-        if count > _MAX_VISITS:
-            continue
-        visits[start] = count
+    def visit(block, node):
+        start, in_stack = node
         visited_blocks.add(start)
-
-        out, target, cond = _walk_block(block, list(in_stack))
+        jump.target = jump.cond = None
+        out = tuple(walk(_MACHINE, jump, block, list(in_stack)))
+        target, cond = jump.target, jump.cond
         terminator = block.terminator
-        name = terminator.op.name
-
-        def enqueue(succ: int, stack_out: List[_Token]) -> None:
-            state = (succ, tuple(stack_out))
-            if succ in blocks and state not in seen_states:
-                seen_states.add(state)
-                work.append(state)
-
-        if name == "JUMPI" and cond is not None and cond[0] == _SELCMP:
+        if cond is not None and cond[0] == _SELCMP:  # a JUMPI's condition
             selector = cond[1]
             if target is not None and _is_const(target):
                 dest = target[1]
@@ -233,18 +186,14 @@ def extract_dispatch(rcfg: ResolvedCFG) -> DispatcherReport:
                     else:
                         entries[selector] = dest
             # Continue down the not-matched side only.
-            enqueue(terminator.next_pc, out)
-            continue
+            return [(terminator.next_pc, out)]
 
-        if name == "JUMP":
-            for succ in rcfg.resolved_targets.get(terminator.pc, ()):
-                enqueue(succ, out)
-        elif name == "JUMPI":
-            for succ in rcfg.resolved_targets.get(terminator.pc, ()):
-                enqueue(succ, out)
-            enqueue(terminator.next_pc, out)
-        elif not terminator.op.is_terminator and name != "UNKNOWN":
-            enqueue(terminator.next_pc, out)
+        successors = list(rcfg.resolved_targets.get(terminator.pc, ()))
+        if block.falls_through:
+            successors.append(terminator.next_pc)
+        return [(successor, out) for successor in successors]
+
+    explore(blocks, (rcfg.entry, ()), _MAX_VISITS, visit)
 
     regions = {
         selector: rcfg.reachable_from(entry)

@@ -86,12 +86,9 @@ class LintReport:
 
 
 def _truncated_push(bytecode: bytes, rcfg: ResolvedCFG) -> List[Finding]:
-    instructions = []
-    for block in rcfg.blocks.values():
-        instructions.extend(block.instructions)
-    if not instructions:
+    if not rcfg.blocks:
         return []
-    last = max(instructions, key=lambda ins: ins.pc)
+    last = rcfg.blocks[max(rcfg.blocks)].terminator  # blocks tile the code
     if last.op.is_push and last.pc + last.size > len(bytecode):
         return [
             Finding(
@@ -121,7 +118,7 @@ def _storage_blind_spots(
     })
     if not unresolved_pcs:
         return []
-    selector_of_pc = _selector_index(rcfg, dispatcher)
+    selector_of_pc = _selector_index(rcfg, dispatcher, unresolved_pcs)
     per_selector: Dict[int, List[int]] = {}
     unattributed: List[int] = []
     for pc in unresolved_pcs:

@@ -34,11 +34,12 @@ would be a guess.  Consumers that must emit a standard ABI degrade
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport
 from repro.analysis.reachability import ReachabilityReport, ReachableFunction
+from repro.analysis.walker import Jump, Machine, record_jump, walk
 
 #: Ops whose reachability forbids ``view`` (they mutate chain state).
 MUTATING_OPS = frozenset([
@@ -80,6 +81,23 @@ def _always_reverts(rcfg: ResolvedCFG, start: int) -> bool:
     )
 
 
+def _callvalue(_guard, _ins) -> Tuple[str, bool]:
+    return ("cv", False)
+
+
+def _iszero(_guard, _ins, token: Optional[Tuple[str, bool]]):
+    return ("cv", not token[1]) if token else None
+
+
+# Tokens are Optional[(tag, inverted)]; None = opaque, constants included.
+_MACHINE = Machine(
+    unknown=None,
+    cap=_STACK_LIMIT,
+    const=lambda _value: None,
+    handlers={"CALLVALUE": _callvalue, "ISZERO": _iszero, "JUMPI": record_jump},
+)
+
+
 def _entry_has_guard(rcfg: ResolvedCFG, function: ReachableFunction) -> bool:
     """The function's entry block ends in a value-rejecting ``JUMPI``.
 
@@ -93,57 +111,21 @@ def _entry_has_guard(rcfg: ResolvedCFG, function: ReachableFunction) -> bool:
     block = rcfg.blocks.get(function.entry)
     if block is None:
         return False
-
-    # Stack of Optional[(tag, inverted)] tokens; None = opaque.
-    stack: List[Optional[Tuple[str, bool]]] = []
-
-    def pop() -> Optional[Tuple[str, bool]]:
-        return stack.pop(0) if stack else None
-
-    def push(token: Optional[Tuple[str, bool]]) -> None:
-        stack.insert(0, token)
-        del stack[_STACK_LIMIT:]
-
-    for ins in block.instructions:
-        op = ins.op
-        name = op.name
-        if name == "CALLVALUE":
-            push(("cv", False))
-        elif name == "ISZERO":
-            token = pop()
-            push(("cv", not token[1]) if token else None)
-        elif op.is_push:
-            push(None)
-        elif op.is_dup:
-            depth = op.code - 0x7F
-            push(stack[depth - 1] if depth <= len(stack) else None)
-        elif op.is_swap:
-            depth = op.code - 0x8F
-            while len(stack) < depth + 1:
-                stack.append(None)
-            stack[0], stack[depth] = stack[depth], stack[0]
-        elif name == "JUMPI":
-            pop()  # the target
-            condition = pop()
-            if condition is None:
-                return False
-            inverted = condition[1]
-            if inverted:
-                # Jump taken when CALLVALUE == 0: falling through is
-                # the rejecting side.
-                return _always_reverts(rcfg, ins.pc + 1)
-            # Raw CALLVALUE condition: the jump itself rejects.
-            targets = rcfg.resolved_targets.get(ins.pc, frozenset())
-            if not targets:
-                # All-invalid targets: taking the jump always throws.
-                return ins.pc in rcfg.invalid_targets
-            return all(_always_reverts(rcfg, t) for t in targets)
-        else:
-            for _ in range(op.pops):
-                pop()
-            for _ in range(op.pushes):
-                push(None)
-    return False
+    guard = Jump()
+    walk(_MACHINE, guard, block, [])
+    if guard.cond is None:
+        return False
+    pc = block.terminator.pc
+    if guard.cond[1]:
+        # Jump taken when CALLVALUE == 0: falling through is the
+        # rejecting side.
+        return _always_reverts(rcfg, pc + 1)
+    # Raw CALLVALUE condition: the jump itself rejects.
+    targets = rcfg.resolved_targets.get(pc, frozenset())
+    if not targets:
+        # All-invalid targets: taking the jump always throws.
+        return pc in rcfg.invalid_targets
+    return all(_always_reverts(rcfg, t) for t in targets)
 
 
 def _classify(rcfg: ResolvedCFG, function: ReachableFunction) -> str:

@@ -60,8 +60,9 @@ class ReachabilityReport:
         return bool(function and function.complete)
 
 
-def _region_closed(rcfg: ResolvedCFG, region: FrozenSet[int]) -> bool:
-    """Every jump terminator in the region classified by the dataflow."""
+def region_closed(rcfg: ResolvedCFG, region: FrozenSet[int]) -> bool:
+    """Every jump terminator in the region classified by the dataflow
+    (one never classified at all stays conservative: not closed)."""
     blocks = rcfg.blocks
     for start in region:
         block = blocks.get(start)
@@ -86,7 +87,7 @@ def compute_reachability(
     functions: Dict[int, ReachableFunction] = {}
     for selector, entry in dispatcher.entries.items():
         region = frozenset(dispatcher.regions.get(selector, frozenset()))
-        complete = not rcfg.incomplete and _region_closed(rcfg, region)
+        complete = not rcfg.incomplete and region_closed(rcfg, region)
         ops = set()
         for start in region:
             block = rcfg.blocks.get(start)

@@ -47,7 +47,7 @@ from repro.analysis.framework import (
     schema_aggregate,
 )
 from repro.analysis.mutability import MutabilityReport
-from repro.analysis.reachability import ReachabilityReport
+from repro.analysis.reachability import ReachabilityReport, region_closed
 from repro.analysis.returns import ReturnsReport
 from repro.analysis.stackcheck import Finding, StackReport
 from repro.analysis.storage import StorageLayout
@@ -177,29 +177,10 @@ class ContractAnalysis:
             closed: Dict[int, FrozenSet[int]] = {}
             if not self.cfg.incomplete:
                 for selector, region in self.dispatcher.regions.items():
-                    if self._region_closed(region):
+                    if region_closed(self.cfg, region):
                         closed[selector] = region
             self._closed_regions = closed
         return self._closed_regions
-
-    def _region_closed(self, region: FrozenSet[int]) -> bool:
-        blocks = self.cfg.blocks
-        for start in region:
-            block = blocks.get(start)
-            if block is None:
-                return False
-            terminator = block.terminator
-            if terminator.op.name in ("JUMP", "JUMPI"):
-                if terminator.pc in self.cfg.unresolved_jumps:
-                    return False
-                if (
-                    terminator.pc not in self.cfg.resolved_targets
-                    and terminator.pc not in self.cfg.invalid_targets
-                ):
-                    # The fixpoint never classified this jump at all —
-                    # possible only in corner cases; stay conservative.
-                    return False
-        return True
 
     def function_preimage(self, selector: int) -> Optional[bytes]:
         """Memoization preimage for one function, or ``None``.

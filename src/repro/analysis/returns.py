@@ -48,8 +48,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport
 from repro.analysis.reachability import ReachabilityReport, ReachableFunction
+from repro.analysis.walker import FOLDS, Machine, walk
 
-_MASK = (1 << 256) - 1
 _MAX_STACK = 24
 #: Highest memory offset tracked (and cap on tracked words): return
 #: buffers live in low memory; unbounded tracking would let crafted
@@ -84,106 +84,88 @@ class ReturnsReport:
     functions: Dict[int, FunctionReturns]
 
 
-def _fold(name: str, a: Optional[int], b: Optional[int]) -> Optional[int]:
-    """Constant-fold ``name(a, b)`` with EVM operand order (a popped
-    first); ``None`` operands poison the result."""
-    if a is None or b is None:
-        return None
-    if name == "ADD":
-        return (a + b) & _MASK
-    if name == "SUB":
-        return (a - b) & _MASK
-    if name == "MUL":
-        return (a * b) & _MASK
-    if name == "AND":
-        return a & b
-    if name == "OR":
-        return a | b
-    if name == "XOR":
-        return a ^ b
-    if name == "SHL":
-        return (b << a) & _MASK if a < 256 else 0
-    if name == "SHR":
-        return b >> a if a < 256 else 0
-    return None
+class _Buffer:
+    """Walk state: the memory image and the RETURN operands."""
+
+    __slots__ = ("memory", "offset", "length")
+
+    def __init__(self) -> None:
+        self.memory: Dict[int, Optional[int]] = {}
+        self.offset = self.length = None
 
 
-def _block_site(block) -> Optional[_Site]:
-    """Simulate one RETURN-terminated block from an unknown entry state.
+def _folder(fold):
+    """A constant fold; ``None`` operands poison the result."""
 
-    Returns the block's RETURN site, or ``None`` when the block does
-    not RETURN.  Values inherited from predecessors are symbolic: a
-    pop past the simulated stack yields ``None``, as does a load of an
-    untracked memory word.
-    """
-    stack: List[Optional[int]] = []
-    memory: Dict[int, Optional[int]] = {}
+    def handler(_site, _ins, a: Optional[int], b: Optional[int]) -> Optional[int]:
+        if a is None or b is None:
+            return None
+        return fold(a, b)
 
-    def pop() -> Optional[int]:
-        return stack.pop(0) if stack else None
+    return handler
 
-    def push(value: Optional[int]) -> None:
-        stack.insert(0, value)
-        del stack[_MAX_STACK:]
 
-    for ins in block.instructions:
-        op = ins.op
-        name = op.name
-        if op.is_push:
-            push(ins.operand or 0)
-        elif op.is_dup:
-            depth = op.code - 0x7F
-            push(stack[depth - 1] if depth <= len(stack) else None)
-        elif op.is_swap:
-            depth = op.code - 0x8F
-            while len(stack) < depth + 1:
-                stack.append(None)
-            stack[0], stack[depth] = stack[depth], stack[0]
-        elif name == "MSTORE":
-            loc, value = pop(), pop()
-            if loc is not None and loc < _MEMORY_LIMIT:
-                if loc in memory or len(memory) < _MAX_MEMORY_WORDS:
-                    memory[loc] = value
-            # Symbolic-offset stores do not clobber the tracked
-            # image: our return buffers are written last, and the
-            # storage pass documents the same free-memory-pointer
-            # rationale.
-        elif name == "MLOAD":
-            loc = pop()
-            if loc is not None and loc in memory:
-                push(memory[loc])
-            else:
-                push(None)
-        elif name in ("CALLDATACOPY", "CODECOPY", "RETURNDATACOPY"):
-            dest, _src, length = pop(), pop(), pop()
-            if dest is not None and length is not None:
-                end = min(dest + length, _MEMORY_LIMIT)
-                word = dest - dest % 32
-                while word < end and len(memory) < _MAX_MEMORY_WORDS:
-                    memory[word] = None
-                    word += 32
-        elif name == "RETURN":
-            offset, length = pop(), pop()
-            return (ins.pc, offset, length, memory)
-        elif op.pops == 2 and op.pushes == 1:
-            a, b = pop(), pop()
-            push(_fold(name, a, b))
-        else:
-            for _ in range(op.pops):
-                pop()
-            for _ in range(op.pushes):
-                push(None)
-    return None
+def _mstore(site: _Buffer, _ins, loc: Optional[int], value: Optional[int]) -> None:
+    memory = site.memory
+    if loc is not None and loc < _MEMORY_LIMIT:
+        if loc in memory or len(memory) < _MAX_MEMORY_WORDS:
+            memory[loc] = value
+    # Symbolic-offset stores do not clobber the tracked image: our
+    # return buffers are written last, and the storage pass documents
+    # the same free-memory-pointer rationale.
+
+
+def _mload(site: _Buffer, _ins, loc: Optional[int]) -> Optional[int]:
+    return site.memory.get(loc)  # untracked (or symbolic) -> None
+
+
+def _copy(site: _Buffer, _ins, dest, _src, length) -> None:
+    """CALLDATACOPY/CODECOPY/RETURNDATACOPY: runtime words over
+    ``[dest, dest + length)``."""
+    if dest is not None and length is not None:
+        memory = site.memory
+        end = min(dest + length, _MEMORY_LIMIT)
+        word = dest - dest % 32
+        while word < end and len(memory) < _MAX_MEMORY_WORDS:
+            memory[word] = None
+            word += 32
+
+
+def _return(site: _Buffer, _ins, offset: Optional[int], length: Optional[int]) -> None:
+    site.offset = offset
+    site.length = length
+
+
+_MACHINE = Machine(
+    unknown=None,
+    cap=_MAX_STACK,
+    const=int,
+    handlers={
+        **{
+            name: _folder(FOLDS[name])
+            for name in ("ADD", "SUB", "MUL", "AND", "OR", "XOR", "SHL", "SHR")
+        },
+        "MSTORE": _mstore,
+        "MLOAD": _mload,
+        "CALLDATACOPY": _copy,
+        "CODECOPY": _copy,
+        "RETURNDATACOPY": _copy,
+        "RETURN": _return,
+    },
+)
 
 
 def _return_sites(rcfg: ResolvedCFG) -> Dict[int, _Site]:
-    """block start -> RETURN site, simulated once for the contract."""
+    """block start -> RETURN site, simulated once for the contract from
+    an unknown entry state (a pop past the simulated stack and a load
+    of an untracked word yield ``None``)."""
     sites: Dict[int, _Site] = {}
     for start, block in rcfg.blocks.items():
-        if any(ins.op.name == "RETURN" for ins in block.instructions):
-            site = _block_site(block)
-            if site is not None:
-                sites[start] = site
+        terminator = block.terminator
+        if terminator.op.name == "RETURN":
+            site = _Buffer()
+            walk(_MACHINE, site, block, [])
+            sites[start] = (terminator.pc, site.offset, site.length, site.memory)
     return sites
 
 

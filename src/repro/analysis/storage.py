@@ -38,11 +38,13 @@ at worst mislabel a mapping's key tag.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow import ResolvedCFG
 from repro.analysis.dispatcher import DispatcherReport
+from repro.analysis.walker import FOLDS, Machine, explore, walk
 
 _MASK = (1 << 256) - 1
 
@@ -163,15 +165,10 @@ class StorageLayout:
 
 
 # ----------------------------------------------------------------------
-# The abstract walk.
+# The abstract state.
 
 
-def _unknown() -> _Token:
-    return (_UNKNOWN,)
-
-
-def _is_const(token: _Token, value: Optional[int] = None) -> bool:
-    return token[0] == _CONST and (value is None or token[1] == value)
+_UNKNOWN_TOKEN: _Token = (_UNKNOWN,)
 
 
 def _expr_depth(expr: Tuple) -> int:
@@ -191,10 +188,12 @@ def _low_mask_bits(value: int) -> Optional[int]:
 
 
 class _Walk:
-    """One storage walk over a resolved CFG."""
+    """One storage walk: what the handlers record, plus the scratch
+    memory of the block being walked (``dirty`` once an MSTORE hit it)."""
 
-    def __init__(self, rcfg: ResolvedCFG) -> None:
-        self.rcfg = rcfg
+    __slots__ = ("sites", "loads", "fields", "memory", "dirty")
+
+    def __init__(self) -> None:
         # (pc, op, expr-or-None), deduplicated: revisit order and count
         # must not perturb the layout (determinism under any schedule).
         self.sites: Set[Tuple[int, str, Optional[Tuple]]] = set()
@@ -202,202 +201,168 @@ class _Walk:
         self.loads: List[Tuple[int, int]] = []
         # (slot, offset bytes, width bytes, signed) field observations.
         self.fields: Set[Tuple[int, int, int, bool]] = set()
+        self.memory: Dict[int, _Token] = {}
+        self.dirty = False
 
-    # -- token helpers -------------------------------------------------
+    def record(self, pc: int, op: str, slot: _Token) -> None:
+        if slot[0] == _CONST:
+            self.sites.add((pc, op, ("const", slot[1])))
+        else:
+            self.sites.add((pc, op, slot[1] if slot[0] == _HASH else None))
 
-    def _record(self, pc: int, op: str, expr: Optional[Tuple]) -> None:
-        self.sites.add((pc, op, expr))
-
-    def _field(self, access_id: int, shift_bits: int, mask_bits: int,
-               signed: bool = False) -> None:
+    def field(self, access_id: int, shift_bits: int, mask_bits: int,
+              signed: bool = False) -> None:
         if shift_bits % 8 or shift_bits >= 256:
             return
         _pc, slot = self.loads[access_id]
         self.fields.add((slot, shift_bits // 8, mask_bits // 8, signed))
 
-    def _binop(self, name: str, a: _Token, b: _Token) -> _Token:
-        """a = stack top (popped first), b = next — EVM operand order."""
-        if _is_const(a) and _is_const(b):
-            va, vb = a[1], b[1]
-            if name == "ADD":
-                return (_CONST, (va + vb) & _MASK)
-            if name == "SUB":
-                return (_CONST, (va - vb) & _MASK)
-            if name == "MUL":
-                return (_CONST, (va * vb) & _MASK)
-            if name == "AND":
-                return (_CONST, va & vb)
-            if name == "OR":
-                return (_CONST, va | vb)
-            if name == "SHL":
-                return (_CONST, (vb << va) & _MASK if va < 256 else 0)
-            if name == "SHR":
-                return (_CONST, vb >> va if va < 256 else 0)
-            return _unknown()
-        if name == "ADD":
-            for x, y in ((a, b), (b, a)):
-                if x[0] == _HASH:
-                    inner = x[1]
-                    if inner[0] == "elt":  # keep elt chains flat
-                        return x
-                    if _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
-                        return _unknown()
-                    return (_HASH, ("elt", inner))
-            return _unknown()
-        if name in ("SHR", "DIV") and b[0] == _SVAL:
-            # SHR(k, sv) or DIV(sv, 2^k): a is the shift/divisor...
-            # operand order differs: SHR pops shift first, DIV pops the
-            # numerator first.
-            return _unknown()
-        return _unknown()
 
-    # -- the per-block transfer ---------------------------------------
+# -- opcode handlers: (walk, instruction, operands top first) -> token --
 
-    def walk_block(
-        self, block, stack: List[_Token], memory: Dict[int, _Token]
-    ) -> None:
-        """Execute one block in place over (stack, memory)."""
 
-        def pop() -> _Token:
-            return stack.pop(0) if stack else _unknown()
+def _address_env(_state, ins) -> _Token:
+    return (_ENV, ins.op.name)
 
-        def push(token: _Token) -> None:
-            stack.insert(0, token)
-            del stack[_MAX_STACK:]
 
-        for ins in block.instructions:
-            op = ins.op
-            name = op.name
-            if op.is_push:
-                push((_CONST, ins.operand or 0))
-            elif op.is_dup:
-                depth = op.code - 0x7F
-                push(stack[depth - 1] if depth <= len(stack) else _unknown())
-            elif op.is_swap:
-                depth = op.code - 0x8F
-                while len(stack) < depth + 1:
-                    stack.append(_unknown())
-                stack[0], stack[depth] = stack[depth], stack[0]
-            elif name in _ADDRESS_ENVS:
-                push((_ENV, name))
-            elif name == "SLOAD":
-                slot = pop()
-                if _is_const(slot):
-                    access_id = len(self.loads)
-                    self.loads.append((ins.pc, slot[1]))
-                    self._record(ins.pc, "load", ("const", slot[1]))
-                    push((_SVAL, access_id, 0))
-                elif slot[0] == _HASH:
-                    self._record(ins.pc, "load", slot[1])
-                    push(_unknown())
-                else:
-                    self._record(ins.pc, "load", None)
-                    push(_unknown())
-            elif name == "SSTORE":
-                slot = pop()
-                pop()  # the stored value
-                if _is_const(slot):
-                    self._record(ins.pc, "store", ("const", slot[1]))
-                elif slot[0] == _HASH:
-                    self._record(ins.pc, "store", slot[1])
-                else:
-                    self._record(ins.pc, "store", None)
-            elif name == "MSTORE":
-                loc, value = pop(), pop()
-                if _is_const(loc) and loc[1] < _SCRATCH_LIMIT:
-                    memory[loc[1]] = value
-                # Unknown/high offsets: scratch survives (see module doc).
-            elif name == "SHA3":
-                offset, length = pop(), pop()
-                push(self._sha3(offset, length, memory))
-            elif name == "AND":
-                a, b = pop(), pop()
-                push(self._and(a, b))
-            elif name in ("SHR", "DIV"):
-                a, b = pop(), pop()
-                if name == "SHR" and _is_const(a) and b[0] == _SVAL:
-                    push((_SVAL, b[1], b[2] + a[1]))
-                elif name == "DIV" and a[0] == _SVAL and _is_const(b):
-                    shift = b[1].bit_length() - 1
-                    if b[1] == 1 << shift:
-                        push((_SVAL, a[1], a[2] + shift))
-                    else:
-                        push(_unknown())
-                else:
-                    push(self._binop(name, a, b))
-            elif name == "SIGNEXTEND":
-                a, b = pop(), pop()
-                if _is_const(a) and b[0] == _SVAL and a[1] < 32:
-                    self._field(b[1], b[2], 8 * (a[1] + 1), signed=True)
-                    push(b)
-                else:
-                    push(_unknown())
-            elif name == "JUMP":
-                pop()
-            elif name == "JUMPI":
-                pop()
-                pop()
-            elif op.pops == 2 and op.pushes == 1:
-                a, b = pop(), pop()
-                push(self._binop(name, a, b))
-            else:
-                for _ in range(op.pops):
-                    pop()
-                for _ in range(op.pushes):
-                    push(_unknown())
+def _sload(state: _Walk, ins, slot: _Token) -> _Token:
+    state.record(ins.pc, "load", slot)
+    if slot[0] == _CONST:
+        access_id = len(state.loads)
+        state.loads.append((ins.pc, slot[1]))
+        return (_SVAL, access_id, 0)
+    return _UNKNOWN_TOKEN
 
-    def _and(self, a: _Token, b: _Token) -> _Token:
-        for value, mask in ((a, b), (b, a)):
-            if value[0] == _SVAL and _is_const(mask):
-                bits = _low_mask_bits(mask[1])
-                if bits is not None:
-                    # shift-then-mask: a packed field read.
-                    self._field(value[1], value[2], bits)
-                    return value
-                # Read-modify-write clear mask: ~mask is a contiguous
-                # byte-aligned field — the write side of a packed slot.
-                hole = (~mask[1]) & _MASK
-                if hole:
-                    low = (hole & -hole).bit_length() - 1
-                    width = hole.bit_length() - low
-                    if (
-                        hole == ((1 << width) - 1) << low
-                        and low % 8 == 0 and width % 8 == 0
-                    ):
-                        _pc, slot = self.loads[value[1]]
-                        self.fields.add((slot, low // 8, width // 8, False))
-                    return (_SVAL, value[1], value[2])
-                return _unknown()
-        return self._binop("AND", a, b)
 
-    def _sha3(
-        self, offset: _Token, length: _Token, memory: Dict[int, _Token]
-    ) -> _Token:
-        if not (_is_const(offset) and _is_const(length)):
-            return _unknown()
-        base = offset[1]
-        if length[1] == 0x40:
-            key = memory.get(base, _unknown())
-            slot_source = memory.get(base + 0x20, _unknown())
-            inner: Optional[Tuple] = None
-            if _is_const(slot_source):
-                inner = ("const", slot_source[1])
-            elif slot_source[0] == _HASH:
-                inner = slot_source[1]
-            if inner is None or _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
-                return _unknown()
-            keytag = "address" if key[0] == _ENV else "word"
-            return (_HASH, ("map", keytag, inner))
-        if length[1] == 0x20:
-            base_token = memory.get(base, _unknown())
-            if _is_const(base_token):
-                return (_HASH, ("arr", ("const", base_token[1])))
-            if base_token[0] == _HASH:
-                inner = base_token[1]
-                if _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
-                    return _unknown()
-                return (_HASH, ("arr", inner))
-        return _unknown()
+def _sstore(state: _Walk, ins, slot: _Token, _value: _Token) -> None:
+    state.record(ins.pc, "store", slot)
+
+
+def _mstore(state: _Walk, _ins, loc: _Token, value: _Token) -> None:
+    if loc[0] == _CONST and loc[1] < _SCRATCH_LIMIT:
+        state.memory[loc[1]] = value
+        state.dirty = True
+    # Unknown/high offsets: scratch survives (see module doc).
+
+
+def _sha3(state: _Walk, _ins, offset: _Token, length: _Token) -> _Token:
+    if not (offset[0] == _CONST and length[0] == _CONST):
+        return _UNKNOWN_TOKEN
+    memory = state.memory
+    base = offset[1]
+    if length[1] == 0x40:
+        key = memory.get(base, _UNKNOWN_TOKEN)
+        slot_source = memory.get(base + 0x20, _UNKNOWN_TOKEN)
+        inner: Optional[Tuple] = None
+        if slot_source[0] == _CONST:
+            inner = ("const", slot_source[1])
+        elif slot_source[0] == _HASH:
+            inner = slot_source[1]
+        if inner is None or _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
+            return _UNKNOWN_TOKEN
+        keytag = "address" if key[0] == _ENV else "word"
+        return (_HASH, ("map", keytag, inner))
+    if length[1] == 0x20:
+        base_token = memory.get(base, _UNKNOWN_TOKEN)
+        if base_token[0] == _CONST:
+            return (_HASH, ("arr", ("const", base_token[1])))
+        if base_token[0] == _HASH:
+            inner = base_token[1]
+            if _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
+                return _UNKNOWN_TOKEN
+            return (_HASH, ("arr", inner))
+    return _UNKNOWN_TOKEN
+
+
+def _add(_state, a: _Token, b: _Token) -> _Token:
+    """A hash-derived slot plus an offset."""
+    for x in (a, b):
+        if x[0] == _HASH:
+            inner = x[1]
+            if inner[0] == "elt":  # keep elt chains flat
+                return x
+            if _expr_depth(inner) >= _EXPR_DEPTH_LIMIT:
+                return _UNKNOWN_TOKEN
+            return (_HASH, ("elt", inner))
+    return _UNKNOWN_TOKEN
+
+
+def _and(state: _Walk, a: _Token, b: _Token) -> _Token:
+    for value, mask in ((a, b), (b, a)):
+        if value[0] == _SVAL and mask[0] == _CONST:
+            bits = _low_mask_bits(mask[1])
+            if bits is not None:
+                # shift-then-mask: a packed field read.
+                state.field(value[1], value[2], bits)
+                return value
+            # Read-modify-write clear mask: ~mask is a contiguous
+            # byte-aligned field — the write side of a packed slot.
+            hole = (~mask[1]) & _MASK
+            if hole:
+                low = (hole & -hole).bit_length() - 1
+                width = hole.bit_length() - low
+                if (
+                    hole == ((1 << width) - 1) << low
+                    and low % 8 == 0 and width % 8 == 0
+                ):
+                    _pc, slot = state.loads[value[1]]
+                    state.fields.add((slot, low // 8, width // 8, False))
+                return (_SVAL, value[1], value[2])
+            return _UNKNOWN_TOKEN
+    return _UNKNOWN_TOKEN
+
+
+def _shr(_state, a: _Token, b: _Token) -> _Token:
+    """SHR(k, sv): the loaded word shifted right by k bits."""
+    if a[0] == _CONST and b[0] == _SVAL:
+        return (_SVAL, b[1], b[2] + a[1])
+    return _UNKNOWN_TOKEN
+
+
+def _folding(fold, otherwise=None):
+    """Fold two constants; hand anything else to ``otherwise``."""
+
+    def handler(state: _Walk, _ins, a: _Token, b: _Token) -> _Token:
+        if a[0] == _CONST and b[0] == _CONST:
+            return (_CONST, fold(a[1], b[1]))
+        return otherwise(state, a, b) if otherwise else _UNKNOWN_TOKEN
+
+    return handler
+
+
+def _div(_state, _ins, a: _Token, b: _Token) -> _Token:
+    """DIV(sv, 2^k): the pre-Constantinople right shift."""
+    if a[0] == _SVAL and b[0] == _CONST:
+        shift = b[1].bit_length() - 1
+        if b[1] == 1 << shift:
+            return (_SVAL, a[1], a[2] + shift)
+    return _UNKNOWN_TOKEN
+
+
+def _signextend(state: _Walk, _ins, a: _Token, b: _Token) -> _Token:
+    if a[0] == _CONST and b[0] == _SVAL and a[1] < 32:
+        state.field(b[1], b[2], 8 * (a[1] + 1), signed=True)
+        return b
+    return _UNKNOWN_TOKEN
+
+
+_MACHINE = Machine(
+    unknown=_UNKNOWN_TOKEN,
+    cap=_MAX_STACK,
+    handlers={
+        **{name: _address_env for name in _ADDRESS_ENVS},
+        **{name: _folding(FOLDS[name]) for name in ("SUB", "MUL", "OR", "SHL")},
+        "ADD": _folding(FOLDS["ADD"], _add),
+        "AND": _folding(FOLDS["AND"], _and),
+        "SHR": _folding(FOLDS["SHR"], _shr),
+        "DIV": _div,
+        "SIGNEXTEND": _signextend,
+        "SLOAD": _sload,
+        "SSTORE": _sstore,
+        "MSTORE": _mstore,
+        "SHA3": _sha3,
+    },
+)
 
 
 def _root_slot(expr: Tuple) -> Optional[int]:
@@ -455,37 +420,26 @@ def recover_storage_layout(
     ``dispatcher`` (when available) attributes each variable to the
     selectors whose statically reachable region touches it.
     """
-    walk = _Walk(rcfg)
-    blocks = rcfg.blocks
-    if rcfg.entry in blocks:
-        visits: Dict[int, int] = {}
-        initial = (rcfg.entry, (), ())
-        work: List[Tuple[int, Tuple, Tuple]] = [initial]
-        seen: Set[Tuple[int, Tuple, Tuple]] = {initial}
-        while work:
-            start, stack_state, memory_state = work.pop()
-            block = blocks.get(start)
-            if block is None:
-                continue
-            count = visits.get(start, 0) + 1
-            if count > _MAX_VISITS:
-                continue
-            visits[start] = count
-            stack = list(stack_state)
-            memory = dict(memory_state)
-            walk.walk_block(block, stack, memory)
-            out_stack = tuple(stack)
-            out_memory = tuple(sorted(memory.items()))
-            for successor in sorted(rcfg.successors.get(start, ())):
-                state = (successor, out_stack, out_memory)
-                if successor in blocks and state not in seen:
-                    seen.add(state)
-                    work.append(state)
+    state = _Walk()
+    ordered: Dict[int, Tuple[int, ...]] = {}
+
+    def visit(block, node):
+        start, stack_state, memory_state = node
+        state.memory = dict(memory_state)
+        state.dirty = False
+        out_stack = tuple(walk(_MACHINE, state, block, list(stack_state)))
+        out_memory = tuple(sorted(state.memory.items())) if state.dirty else memory_state
+        successors = ordered.get(start)
+        if successors is None:
+            successors = ordered[start] = tuple(sorted(rcfg.successors.get(start, ())))
+        return [(successor, out_stack, out_memory) for successor in successors]
+
+    explore(rcfg.blocks, (rcfg.entry, (), ()), _MAX_VISITS, visit)
 
     accesses = tuple(
         StorageAccess(pc, op, expr)
         for pc, op, expr in sorted(
-            walk.sites, key=lambda site: (site[0], site[1], repr(site[2]))
+            state.sites, key=lambda site: (site[0], site[1], repr(site[2]))
         )
     )
     unresolved = len({a.pc for a in accesses if a.expr is None})
@@ -500,7 +454,10 @@ def recover_storage_layout(
             continue
         by_root.setdefault(root, []).append(access)
 
-    selector_of_pc = _selector_index(rcfg, dispatcher) if dispatcher else {}
+    selector_of_pc = (
+        _selector_index(rcfg, dispatcher, {a.pc for a in accesses})
+        if dispatcher else {}
+    )
 
     variables: List[StorageVariable] = []
     for root in sorted(by_root):
@@ -536,7 +493,7 @@ def recover_storage_layout(
             continue
         fields = sorted(
             (offset, width, signed)
-            for slot, offset, width, signed in walk.fields
+            for slot, offset, width, signed in state.fields
             if slot == root
         )
         if not fields:
@@ -564,18 +521,18 @@ def recover_storage_layout(
 
 
 def _selector_index(
-    rcfg: ResolvedCFG, dispatcher: DispatcherReport
+    rcfg: ResolvedCFG, dispatcher: DispatcherReport, pcs: Iterable[int]
 ) -> Dict[int, Tuple[int, ...]]:
-    """pc -> selectors whose region contains that pc's block."""
-    block_of_pc: Dict[int, int] = {}
-    for start, block in rcfg.blocks.items():
-        for ins in block.instructions:
-            block_of_pc[ins.pc] = start
+    """pc -> selectors whose region contains that pc's block, for the
+    instruction pcs ``pcs``."""
     selectors_of_block: Dict[int, Set[int]] = {}
     for selector, region in dispatcher.regions.items():
         for start in region:
             selectors_of_block.setdefault(start, set()).add(selector)
+    # Blocks tile the instruction stream in pc order, so an
+    # instruction's block is the last one starting at or before it.
+    starts = sorted(rcfg.blocks)
     return {
-        pc: tuple(sorted(selectors_of_block.get(start, ())))
-        for pc, start in block_of_pc.items()
+        pc: tuple(sorted(selectors_of_block.get(starts[bisect_right(starts, pc) - 1], ())))
+        for pc in pcs
     }

@@ -30,6 +30,9 @@ class BasicBlock:
     # block keeps no (taken) successor, but the defect is recorded
     # instead of silently dropped.
     invalid_static_jump: bool = False
+    #: The op stream the static passes walk, compiled on first use
+    #: by :func:`repro.analysis.walker.walk`.
+    ops: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def end(self) -> int:
@@ -39,6 +42,12 @@ class BasicBlock:
     @property
     def terminator(self) -> Instruction:
         return self.instructions[-1]
+
+    @property
+    def falls_through(self) -> bool:
+        """Control can continue at the next instruction (JUMPI included)."""
+        op = self.instructions[-1].op
+        return not op.is_terminator and op.name != "UNKNOWN"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BasicBlock({self.start:#x}..{self.end:#x}, succ={sorted(self.successors)})"

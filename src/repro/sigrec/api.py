@@ -295,6 +295,7 @@ class SigRec:
             engine = TASEEngine(
                 bytecode,
                 analysis=analysis if self.prune else None,
+                decoded=analysis,
                 metrics=self.metrics,
                 profiler=self.profiler,
                 **self._engine_opts,
@@ -491,6 +492,7 @@ class SigRec:
             engine = TASEEngine(
                 bytecode,
                 analysis=analysis if self.prune else None,
+                decoded=analysis,
                 metrics=self.metrics,
                 profiler=self.profiler,
                 **self._engine_opts,

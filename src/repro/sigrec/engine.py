@@ -824,7 +824,8 @@ class TASEEngine:
     result is bit-for-bit what the unpruned run produces), exploration
     inside a function is fenced to its statically reachable region, and
     symbolic JUMPs the dataflow resolved to a unique target continue
-    instead of ending the path.
+    instead of ending the path.  ``decoded`` — an analysis of the same
+    bytes — only lends its CFG's disassembly to the decode.
     """
 
     def __init__(
@@ -838,6 +839,7 @@ class TASEEngine:
         semantic_idioms: bool = True,
         step_hook: Optional[Callable] = None,
         analysis: Optional["ContractAnalysis"] = None,
+        decoded: Optional["ContractAnalysis"] = None,
         metrics: Optional[MetricsRegistry] = None,
         profiler: Optional[HotLoopProfiler] = None,
         scheduler: str = "priority",
@@ -886,10 +888,11 @@ class TASEEngine:
         # One decode per (bytecode, domain class), shared across engines
         # and with the differential replay via the predecode cache; an
         # analysis of these bytes lends the CFG's disassembly so the
-        # code is swept once.
+        # code is swept once.  ``decoded`` lends it without pruning.
         shared = None
-        if analysis is not None and analysis.bytecode == bytecode:
-            shared = analysis.cfg.base.instructions
+        source = analysis if analysis is not None else decoded
+        if source is not None and source.bytecode == bytecode:
+            shared = source.cfg.base.instructions
         self._program = _decode_program(
             bytecode, SymbolicDomain, instructions=shared
         )

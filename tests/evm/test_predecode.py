@@ -1,5 +1,6 @@
 """One decode: a program classified from the CFG's disassembly equals one
-decoded from the bytes, and a pruned recovery sweeps the code once."""
+decoded from the bytes, and a recovery — pruned or not — sweeps the code
+once."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -95,7 +96,7 @@ def test_program_from_instruction_list_equals_program_from_bytes(code):
         assert block.ctrl_ins is ctrl
 
 
-def test_pruned_recover_creates_instructions_once(monkeypatch):
+def _assert_recover_creates_instructions_once(monkeypatch, tool):
     code = compile_contract([
         FunctionSignature.parse("f(uint8,address)"),
         FunctionSignature.parse("g(bytes)"),
@@ -109,13 +110,27 @@ def test_pruned_recover_creates_instructions_once(monkeypatch):
 
     clear_program_cache()
     monkeypatch.setattr(Instruction, "__init__", counting)
-    tool = SigRec(prune=True)
     assert tool.recover(code)
     monkeypatch.undo()
     analysis = tool._analyze(code)
     program = predecode._PROGRAM_CACHE[(code, SymbolicDomain)]
     assert program.instructions is analysis.cfg.base.instructions
     assert sorted(created) == [ins.pc for ins in analysis.cfg.base.instructions]
+
+
+def test_pruned_recover_creates_instructions_once(monkeypatch):
+    _assert_recover_creates_instructions_once(monkeypatch, SigRec(prune=True))
+
+
+def test_default_recover_creates_instructions_once(monkeypatch):
+    """Default options (no pruning) share the CFG's disassembly too."""
+    tool = SigRec()
+    assert not tool.prune
+    _assert_recover_creates_instructions_once(monkeypatch, tool)
+
+
+def test_unsharded_default_recover_creates_instructions_once(monkeypatch):
+    _assert_recover_creates_instructions_once(monkeypatch, SigRec(sharded=False))
 
 
 def test_stale_analysis_is_not_shared():
